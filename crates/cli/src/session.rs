@@ -477,7 +477,8 @@ impl Session {
                 let _ = writeln!(
                     s,
                     "  c{:<4} slot {:<2} -> {} offer {:<4} [{}]{}",
-                    c.id,
+                    // Contract ids carry the session in their high half.
+                    c.id as u32,
                     c.slot,
                     c.seller,
                     c.offer,
@@ -545,7 +546,7 @@ impl Session {
     }
 
     /// Throughput meta-benchmark: a burst of `n` demo-mix queries served
-    /// concurrently through the session-multiplexed simulator driver.
+    /// concurrently through the session-multiplexed serving layer.
     fn serve(&self, n: usize, conc: usize) -> String {
         use qt_core::{run_qt_serve, ServeConfig};
         let mix = match self.demo {

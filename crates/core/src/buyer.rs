@@ -283,8 +283,8 @@ impl BuyerEngine {
 }
 
 /// The seller nodes winning at least one purchase of `plan` — the single
-/// source of truth for award selection, shared by the direct driver, the
-/// simulator driver, and the serving layer.
+/// source of truth for award selection, shared by the direct oracle and the
+/// serving layer.
 pub fn winner_set(plan: &DistributedPlan) -> BTreeSet<NodeId> {
     plan.purchases.iter().map(|p| p.offer.seller).collect()
 }
@@ -304,7 +304,7 @@ pub fn remote_awards(plan: &DistributedPlan, buyer: NodeId) -> Vec<(usize, NodeI
 mod tests {
     use super::*;
 
-    // BuyerEngine is exercised end-to-end through the drivers (driver.rs)
+    // BuyerEngine is exercised end-to-end through the entry points (driver.rs)
     // and the integration tests; here we pin the small state-machine rules.
 
     use qt_catalog::{

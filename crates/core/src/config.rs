@@ -117,8 +117,10 @@ pub struct QtConfig {
     /// Lossless whenever digests are exact and subcontracting is off (a
     /// seller holding nothing an item touches produces no offer for it);
     /// with `enable_subcontracting` the scoping silently falls back to
-    /// broadcast, since any seller may then bid via hints. Off by default —
-    /// flat-broadcast runs stay bit-identical.
+    /// broadcast, since any seller may then bid via hints. Read by the
+    /// single-query entry points (streams configure
+    /// `ServeConfig::hierarchy`). Off by default — flat-broadcast runs stay
+    /// bit-identical.
     pub enable_discovery: bool,
 }
 

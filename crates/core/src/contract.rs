@@ -43,9 +43,9 @@ pub fn is_repair_round(round: u32) -> bool {
     round > REPAIR_ROUND_BASE
 }
 
-/// What the driver must do on the wire for the controller. The controller
-/// never touches the simulator; drivers map actions onto `Ctx` calls (and
-/// the direct driver onto analytic counters).
+/// What the serving layer must do on the wire for the controller. The
+/// controller never touches a runtime; the serving layer maps actions onto
+/// `Ctx` calls.
 #[derive(Debug, Clone)]
 pub enum ContractAction {
     /// Send (or retransmit) an award for `offer` under contract id

@@ -8,7 +8,7 @@
 //! | Step | Module |
 //! |------|--------|
 //! | B1: strategic valuation of the working set Q | [`qt_trade::BuyerValueBook`] via [`buyer`] |
-//! | B2: Request-For-Bids broadcast | [`driver`] |
+//! | B2: Request-For-Bids broadcast | [`session`] |
 //! | S2.1–2.2: partial query construction & cost estimation | [`seller`] |
 //! | S2.3: seller predicates analyser (materialized views) | [`seller`] |
 //! | B3/S3: nested winner-selection negotiation | [`qt_trade::ProtocolKind`] via [`buyer`] |
@@ -16,15 +16,19 @@
 //! | B5/B6: buyer predicates analyser (new working set) | [`analyser`] |
 //! | B7/B8: convergence check, best plan | [`buyer`] |
 //!
-//! The engines are transport-independent; [`driver`] runs them either
-//! *directly* (a synchronous loop with analytic message accounting — fast,
-//! used for plan-quality experiments and tests) or *on the simulator*
-//! (`qt-net` handlers with virtual time — used for optimization-time and
-//! message-count experiments). Both produce identical plans and message
-//! counts by construction; a test asserts it. A third runtime,
-//! `qt_net::real`, executes the same handlers thread-per-node on real cores
-//! (in-process channels or TCP via [`wire`]); the conformance suite in
-//! `tests/real_transport.rs` proves its plans bit-identical to the sim's.
+//! The engines are transport-independent, and one message-level runtime
+//! drives them: the serving layer in [`session`], which multiplexes any
+//! number of concurrent negotiations over the same sellers. It runs on the
+//! `qt-net` discrete-event simulator (virtual time — optimization-time and
+//! message-count experiments) or thread-per-node on real cores via
+//! `qt_net::real` (in-process channels or TCP via [`wire`]); the
+//! conformance suite in `tests/real_transport.rs` proves the two
+//! bit-identical. The single-query entry points in [`driver`]
+//! (`run_qt_sim*`, `run_qt_real`) serve their query as the one arrival of
+//! that runtime. [`run_qt_direct`] stays outside it as the analytic oracle:
+//! a synchronous loop with closed-form message accounting, fast enough for
+//! plan-quality experiments, whose plans and message counts a test checks
+//! against the simulator's.
 
 pub mod analyser;
 pub mod buyer;

@@ -22,10 +22,10 @@ pub struct SellerResponse {
     pub effort: u64,
 }
 
-/// One session's slice of a batched RFB: the serving layer coalesces every
-/// session's current-round request to the same seller into one message, and
-/// each entry is what a stand-alone [`QtMsg::Rfb`](crate::driver::QtMsg)
-/// would have carried.
+/// One session's slice of a batched RFB (B2): the serving layer coalesces
+/// every session's current-round request to the same seller into one
+/// [`ServeMsg::Rfb`](crate::session::ServeMsg) message, one entry per
+/// session.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionRfb {
     /// The negotiation this entry belongs to.
@@ -72,7 +72,8 @@ pub struct SellerEngine {
     /// Cumulative optimization effort across all RFBs (read by the drivers).
     pub total_effort: u64,
     /// Rounds in which this node is offline/unresponsive (failure injection
-    /// for the availability experiments; simulator driver only).
+    /// for the availability experiments): the serving layer drops every RFB
+    /// entry for these rounds unanswered, on every runtime.
     pub offline_rounds: std::collections::BTreeSet<u32>,
     /// RFB items answered from the offer cache (cumulative).
     pub cache_hits: u64,
@@ -912,10 +913,9 @@ enum ItemReply {
     Fresh(SellerResponse),
 }
 
-/// Canonical request id for `session`'s RFB in `round`. The `+ 1` keeps the
-/// serve path's id space (≥ 2³²) disjoint from the single-session drivers'
-/// (`round as u64`, < 2³²), so one engine can serve both without a memo
-/// collision; [`SellerEngine::forget_session`] relies on the same encoding.
+/// Canonical request id for `session`'s RFB in `round`. The `+ 1` keeps
+/// every id at or above 2³², so the session is recoverable from the id
+/// alone; [`SellerEngine::forget_session`] relies on the same encoding.
 pub fn session_req(session: SessionId, round: u32) -> u64 {
     ((session.0 + 1) << 32) | round as u64
 }

@@ -1,9 +1,11 @@
-//! The serving layer: many queries trading concurrently over one federation.
+//! The serving layer: the one message-level runtime of the trading loop.
 //!
-//! The single-session drivers in [`driver`](crate::driver) optimize exactly
-//! one query end-to-end. This module multiplexes M negotiations — each a
-//! [`SessionId`]-tagged buyer engine — over the same sellers on the same
-//! discrete-event simulator:
+//! This module multiplexes M negotiations — each a [`SessionId`]-tagged
+//! buyer engine — over the same sellers, on the discrete-event simulator or
+//! the real thread-per-node transport. A single-query run
+//! ([`driver`](crate::driver)'s `run_qt_sim*`/`run_qt_real`) is the special
+//! case of one arrival at t=0; only the analytic oracle
+//! [`run_qt_direct`](crate::driver::run_qt_direct) runs outside it.
 //!
 //! * **Sessions** arrive on a clock (see `qt_workload`'s arrival generator),
 //!   queue behind an admission limit (`concurrency`), and run the ordinary
@@ -23,11 +25,12 @@
 //!   identical under any `QT_THREADS`. `crates/core/tests/serve.rs` holds
 //!   the proptest.
 
-use crate::buyer::{remote_awards, BuyerEngine, RoundOutcome};
+use crate::buyer::{remote_awards, BuyerEngine, IterationStats, RoundOutcome};
 use crate::compensate::compensate_plan;
 use crate::config::QtConfig;
 use crate::contract::{
-    is_repair_round, ContractAction, ContractController, ContractStats, LEGACY_CONTRACT,
+    is_repair_round, ContractAction, ContractController, ContractReport, ContractStats,
+    LEGACY_CONTRACT,
 };
 use crate::dist_plan::DistributedPlan;
 use crate::offer::{Offer, RfbItem};
@@ -162,8 +165,8 @@ impl Default for HierarchyConfig {
 /// Protocol messages of the serving layer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeMsg {
-    /// A query arrives at the buyer node (injected by the driver; excluded
-    /// from protocol message counts like the single-session `Start`).
+    /// A query arrives at the buyer node (injected by the runner; excluded
+    /// from protocol message counts).
     Arrive {
         /// The session being opened.
         session: SessionId,
@@ -355,8 +358,7 @@ pub enum ServeNode {
     Broker(Box<BrokerNode>),
 }
 
-/// Per-session trading state held by the [`SessionManager`] — the serve
-/// analog of the single-session `BuyerSim`.
+/// Per-session trading state held by the [`SessionManager`].
 struct Session {
     engine: BuyerEngine,
     /// Current-round replies buffered until the round closes. Feeding the
@@ -388,6 +390,9 @@ struct Session {
     round_open: bool,
     prev_neg_msgs: u64,
     prev_neg_rts: u64,
+    /// Recipients that never answered their last RFB of this session (even
+    /// after retries); a seller that answers a later round is removed.
+    unreachable: BTreeSet<NodeId>,
     arrived: f64,
     started: f64,
 }
@@ -416,6 +421,14 @@ pub struct SessionReport {
     /// Whether the session was shed by broker admission control and
     /// re-admitted on the flat path (its latency includes the backoff).
     pub shed_retried: bool,
+    /// The finished buyer engine's per-round statistics (empty for result
+    /// cache hits).
+    pub history: Vec<IterationStats>,
+    /// Per-contract final standing (empty with the lifecycle off).
+    pub contracts: Vec<ContractReport>,
+    /// Sellers that never answered this session's last RFB to them, even
+    /// after retries, and were traded around.
+    pub unreachable: Vec<NodeId>,
 }
 
 impl SessionReport {
@@ -464,8 +477,6 @@ pub struct SessionManager {
     pub timeouts_fired: u64,
     /// Rounds closed with sellers still missing.
     pub degraded_rounds: u64,
-    /// Sellers that never answered their last RFB (any session).
-    pub unreachable: BTreeSet<NodeId>,
     /// Per-session contract lifecycles still running (the contract phase
     /// continues in the background after the trading slot is freed).
     lifecycles: BTreeMap<SessionId, ContractController>,
@@ -517,7 +528,13 @@ impl Handler<ServeMsg> for ServeNode {
             }
         }
         match (self, msg) {
-            (ServeNode::Seller(engine), ServeMsg::Rfb { entries }) => {
+            (ServeNode::Seller(engine), ServeMsg::Rfb { mut entries }) => {
+                // Autonomy: an offline node simply does not answer entries
+                // for the rounds it sits out.
+                entries.retain(|e| !engine.offline_rounds.contains(&e.round));
+                if entries.is_empty() {
+                    return;
+                }
                 let resps = engine.respond_batch(&entries);
                 let effort: u64 = resps.iter().map(|r| r.effort).sum();
                 ctx.charge_compute(effort as f64 * engine.config().per_subplan_seconds);
@@ -694,10 +711,12 @@ impl Handler<ServeMsg> for ServeNode {
                 // moment one of their offers comes back through any round).
                 if !missing.is_empty() {
                     m.degraded_rounds += 1;
-                    m.unreachable.extend(missing);
                 }
-                for o in &offers {
-                    m.unreachable.remove(&o.seller);
+                if let Some(sess) = m.sessions.get_mut(&session) {
+                    sess.unreachable.extend(missing);
+                    for o in &offers {
+                        sess.unreachable.remove(&o.seller);
+                    }
                 }
                 m.on_offers(ctx, from, session, round, offers);
             }
@@ -775,6 +794,9 @@ impl SessionManager {
                     rescoped_trades: 0,
                     repaired: false,
                     shed_retried: self.shed_retried.contains(&s),
+                    history: Vec::new(),
+                    contracts: Vec::new(),
+                    unreachable: Vec::new(),
                 });
                 continue;
             }
@@ -796,6 +818,7 @@ impl SessionManager {
                     round_open: false,
                     prev_neg_msgs: 0,
                     prev_neg_rts: 0,
+                    unreachable: BTreeSet::new(),
                     arrived: self.arrive_times[s.0 as usize],
                     started: ctx.now(),
                 },
@@ -1015,6 +1038,9 @@ impl SessionManager {
             rescoped_trades: 0,
             repaired: false,
             shed_retried: true,
+            history: sess.engine.history,
+            contracts: Vec::new(),
+            unreachable: sess.unreachable.into_iter().collect(),
         });
         self.admit(ctx);
     }
@@ -1063,7 +1089,6 @@ impl SessionManager {
         round: u32,
         offers: Vec<Offer>,
     ) {
-        self.unreachable.remove(&from);
         if is_repair_round(round) {
             // Scoped re-trade replies belong to the session's contract
             // lifecycle, which outlives the trading session itself.
@@ -1077,6 +1102,8 @@ impl SessionManager {
             if !sess.seen.insert((round, from)) {
                 return; // duplicated delivery or dedup resend
             }
+            // A seller that answers — even late — is reachable.
+            sess.unreachable.remove(&from);
             if sess.round_open && round == sess.engine.round && sess.recipients.contains(&from) {
                 sess.pending.insert(from, offers);
                 sess.pending.len() == sess.recipients.len()
@@ -1203,7 +1230,8 @@ impl SessionManager {
         } else {
             if !missing.is_empty() {
                 self.degraded_rounds += 1;
-                self.unreachable.extend(missing);
+                let sess = self.sessions.get_mut(&session).expect("checked above");
+                sess.unreachable.extend(missing);
             }
             self.close_round(ctx, session);
         }
@@ -1348,6 +1376,9 @@ impl SessionManager {
             rescoped_trades: 0,
             repaired: false,
             shed_retried: self.shed_retried.contains(&s),
+            history: sess.engine.history,
+            contracts: Vec::new(),
+            unreachable: sess.unreachable.into_iter().collect(),
         });
         self.settle_lifecycle(s);
         self.admit(ctx);
@@ -1404,7 +1435,9 @@ impl SessionManager {
         if let Some(d) = self.desc.remove(&failed) {
             self.desc.insert(from, d);
         }
-        self.unreachable.remove(&failed);
+        for sess in self.sessions.values_mut() {
+            sess.unreachable.remove(&failed);
+        }
         // Re-scope in-flight rounds: any open session still waiting on the
         // crashed broker swaps it for the standby and resends the entry.
         let mut resend: Vec<(NodeId, SessionRfb)> = Vec::new();
@@ -1586,6 +1619,7 @@ impl SessionManager {
             report.reawards = ctl.stats.reawards;
             report.rescoped_trades = ctl.stats.rescoped_trades;
             report.repaired = ctl.stats.contracts_repaired > 0;
+            report.contracts = ctl.reports();
             settled_plan = report.plan.clone().map(|p| (report.iterations, p));
         }
         // The (possibly repaired) plan is final only now.
@@ -2310,30 +2344,165 @@ pub fn run_qt_serve_with_faults(
     buyer_node: NodeId,
     dict: Arc<SchemaDict>,
     arrivals: Vec<(f64, Query)>,
-    mut sellers: BTreeMap<NodeId, SellerEngine>,
+    sellers: BTreeMap<NodeId, SellerEngine>,
     config: &QtConfig,
     serve: &ServeConfig,
     faults: Option<FaultPlan>,
 ) -> ServeOutcome {
+    let sim = Simulator::new(Topology::Uniform(config.link));
+    serve_on(
+        sim, buyer_node, dict, arrivals, sellers, config, serve, faults, None,
+    )
+}
+
+/// [`run_qt_serve`] on the real thread-per-node transport (`qt_net::real`):
+/// the session manager and every seller run on their own OS thread,
+/// connected by bounded channels or loopback TCP per `real`. The handlers
+/// are the exact ones the simulator runs, so per-session plans are
+/// bit-identical to [`run_qt_serve`] under the same configuration. Latency
+/// and makespan figures are **wall clock** — never compare them against the
+/// simulator's virtual-time numbers.
+pub fn run_qt_serve_real(
+    buyer_node: NodeId,
+    dict: Arc<SchemaDict>,
+    arrivals: Vec<(f64, Query)>,
+    sellers: BTreeMap<NodeId, SellerEngine>,
+    config: &QtConfig,
+    serve: &ServeConfig,
+    real: qt_net::RealConfig,
+) -> ServeOutcome {
+    run_qt_serve_real_with_faults(
+        buyer_node, dict, arrivals, sellers, config, serve, real, None,
+    )
+}
+
+/// [`run_qt_serve_real`] under a [`FaultPlan`]'s *broker crash windows*. The
+/// thread runtime has no transport fault plane — drop/jitter/partition
+/// entries are ignored — but broker crashes are handler-level control
+/// injections, so the promotion protocol runs identically to
+/// [`run_qt_serve_with_faults`] and promotion outcomes are comparable
+/// across transports. Crash times are virtual: the injector delivers them
+/// at `time * time_scale` wall seconds, like every other injection.
+#[allow(clippy::too_many_arguments)]
+pub fn run_qt_serve_real_with_faults(
+    buyer_node: NodeId,
+    dict: Arc<SchemaDict>,
+    arrivals: Vec<(f64, Query)>,
+    sellers: BTreeMap<NodeId, SellerEngine>,
+    config: &QtConfig,
+    serve: &ServeConfig,
+    real: qt_net::RealConfig,
+    faults: Option<FaultPlan>,
+) -> ServeOutcome {
+    let rt = qt_net::RealRuntime::new(real);
+    serve_on(
+        rt, buyer_node, dict, arrivals, sellers, config, serve, faults, None,
+    )
+}
+
+/// What the serving runner needs from a runtime. Node registration and
+/// injections are the same calls on [`Simulator`] and
+/// [`qt_net::RealRuntime`]; the two differ only in their fault plane and in
+/// how a run ends.
+pub(crate) trait ServeRuntime {
+    /// Register `node` as `id`.
+    fn add_node(&mut self, id: NodeId, node: ServeNode);
+    /// Inject a local event at node `to` at protocol time `at`.
+    fn inject(&mut self, at: f64, to: NodeId, msg: ServeMsg, kind: &'static str);
+    /// Attach the transport faults of `plan` (the thread runtime has none).
+    fn set_faults(&mut self, plan: FaultPlan);
+    /// Run until `sessions` sessions finished and every lifecycle settled,
+    /// then hand back the metrics and every handler.
+    fn run_to_end(
+        self,
+        buyer: NodeId,
+        sessions: usize,
+    ) -> (qt_net::Metrics, Vec<(NodeId, ServeNode)>);
+}
+
+impl ServeRuntime for Simulator<ServeMsg, ServeNode> {
+    fn add_node(&mut self, id: NodeId, node: ServeNode) {
+        Simulator::add_node(self, id, node);
+    }
+    fn inject(&mut self, at: f64, to: NodeId, msg: ServeMsg, kind: &'static str) {
+        Simulator::inject(self, at, to, to, msg, kind);
+    }
+    fn set_faults(&mut self, plan: FaultPlan) {
+        self.set_fault_plan(plan);
+    }
+    fn run_to_end(mut self, _: NodeId, _: usize) -> (qt_net::Metrics, Vec<(NodeId, ServeNode)>) {
+        self.run(100_000_000);
+        let metrics = std::mem::take(&mut self.metrics);
+        (metrics, self.into_handlers())
+    }
+}
+
+impl ServeRuntime for qt_net::RealRuntime<ServeMsg, ServeNode> {
+    fn add_node(&mut self, id: NodeId, node: ServeNode) {
+        qt_net::RealRuntime::add_node(self, id, node);
+    }
+    fn inject(&mut self, at: f64, to: NodeId, msg: ServeMsg, kind: &'static str) {
+        qt_net::RealRuntime::inject(self, at, to, to, msg, kind);
+    }
+    fn set_faults(&mut self, _: FaultPlan) {}
+    fn run_to_end(self, buyer: NodeId, n: usize) -> (qt_net::Metrics, Vec<(NodeId, ServeNode)>) {
+        // Channel FIFO guarantees trailing awards and releases are
+        // delivered before the shutdown marker.
+        let out = self.run(
+            buyer,
+            |h| matches!(h, ServeNode::Buyer(m) if m.completed.len() == n && m.lifecycles.is_empty()),
+        );
+        (out.metrics, out.handlers)
+    }
+}
+
+/// The serving runner behind every `run_qt_*` entry point but the direct
+/// oracle: build the session manager, sellers, and broker tier on `rt`,
+/// inject the boot, fault, and arrival events, run, and fold the handlers'
+/// counters into a [`ServeOutcome`].
+///
+/// `catalog` seeds the buyer's discovery catalog (child → digest) in place
+/// of boot advertisements: no `AdTick` is injected and no advertisement
+/// traffic flows, so the run's messages and timing are exactly those of the
+/// trading itself. `None` boots the hierarchy (if any) by advertisement.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn serve_on<R: ServeRuntime>(
+    mut rt: R,
+    buyer_node: NodeId,
+    dict: Arc<SchemaDict>,
+    arrivals: Vec<(f64, Query)>,
+    mut sellers: BTreeMap<NodeId, SellerEngine>,
+    config: &QtConfig,
+    serve: &ServeConfig,
+    faults: Option<FaultPlan>,
+    catalog: Option<BTreeMap<NodeId, u64>>,
+) -> ServeOutcome {
     assert!(serve.concurrency >= 1, "concurrency must be at least 1");
     let n = arrivals.len();
+    let broker_crashes: Vec<qt_net::CrashWindow> = faults
+        .as_ref()
+        .map(|p| p.broker_crashes.clone())
+        .unwrap_or_default();
+    if let Some(plan) = faults {
+        rt.set_faults(plan);
+    }
     let config = &calibrated_config(config, serve, &mut sellers);
     let cache_hits_before: u64 = sellers.values().map(|s| s.cache_hits).sum();
     let cache_misses_before: u64 = sellers.values().map(|s| s.cache_misses).sum();
     let local_seller = sellers.remove(&buyer_node);
     let remote: Vec<NodeId> = sellers.keys().copied().collect();
-    let all_remote = remote.clone();
     let (tree, children, timeout_scale) = build_hierarchy(buyer_node, &remote, serve, &mut sellers);
     let buyer_desc: BTreeMap<NodeId, Vec<NodeId>> = children
         .iter()
         .map(|&c| (c, tree.seller_descendants(c)))
         .collect();
-    let mut arrive_times = Vec::with_capacity(n);
-    let mut queries = Vec::with_capacity(n);
-    for (at, q) in arrivals {
-        arrive_times.push(at);
-        queries.push(Some(q));
-    }
+    let (arrive_times, queries): (Vec<f64>, Vec<Option<Query>>) =
+        arrivals.into_iter().map(|(at, q)| (at, Some(q))).unzip();
+    let child_ads: BTreeMap<NodeId, (u64, u64)> = catalog
+        .iter()
+        .flatten()
+        .map(|(&node, &digest)| (node, (digest, 0)))
+        .collect();
     let manager = SessionManager {
         node: buyer_node,
         dict,
@@ -2341,7 +2510,7 @@ pub fn run_qt_serve_with_faults(
         serve: serve.clone(),
         remote_sellers: remote.clone(),
         children,
-        child_ads: BTreeMap::new(),
+        child_ads,
         timeout_scale,
         local_seller,
         queries,
@@ -2354,7 +2523,6 @@ pub fn run_qt_serve_with_faults(
         retries: 0,
         timeouts_fired: 0,
         degraded_rounds: 0,
-        unreachable: BTreeSet::new(),
         lifecycles: BTreeMap::new(),
         contract_stats: ContractStats::default(),
         result_cache_hits: 0,
@@ -2369,17 +2537,9 @@ pub fn run_qt_serve_with_faults(
         region_fallbacks: 0,
         quiesce_sent: false,
     };
-    let mut sim: Simulator<ServeMsg, ServeNode> = Simulator::new(Topology::Uniform(config.link));
-    let broker_crashes: Vec<qt_net::CrashWindow> = faults
-        .as_ref()
-        .map(|p| p.broker_crashes.clone())
-        .unwrap_or_default();
-    if let Some(plan) = faults {
-        sim.set_fault_plan(plan);
-    }
-    sim.add_node(buyer_node, ServeNode::Buyer(Box::new(manager)));
+    rt.add_node(buyer_node, ServeNode::Buyer(Box::new(manager)));
     for (node, engine) in sellers {
-        sim.add_node(node, ServeNode::Seller(Box::new(engine)));
+        rt.add_node(node, ServeNode::Seller(Box::new(engine)));
     }
     for spec in &tree.brokers {
         let desc: BTreeMap<NodeId, Vec<NodeId>> = spec
@@ -2390,29 +2550,31 @@ pub fn run_qt_serve_with_faults(
         let hier = serve.hierarchy.clone().expect("brokers imply hierarchy");
         let mut primary = BrokerNode::new(spec, desc.clone(), config.clone(), hier.clone());
         primary.set_parent_standby(tree.standby_of(spec.parent));
-        sim.add_node(spec.node, ServeNode::Broker(Box::new(primary)));
+        rt.add_node(spec.node, ServeNode::Broker(Box::new(primary)));
         if let Some(sb) = spec.standby {
             let mut standby = BrokerNode::new_standby(spec, desc, config.clone(), hier);
             standby.set_parent_standby(tree.standby_of(spec.parent));
-            sim.add_node(sb, ServeNode::Broker(Box::new(standby)));
+            rt.add_node(sb, ServeNode::Broker(Box::new(standby)));
         }
     }
     if let Some(h) = serve.hierarchy.as_ref() {
         // Boot advertisements, before any arrival of the same instant: a
         // crashed-from-boot node's tick is dropped at delivery, so it joins
         // only when a later `advertise_at` tick lands post-recovery.
-        for &s in &remote {
-            sim.inject(0.0, s, s, ServeMsg::AdTick, "ad");
+        if catalog.is_none() {
+            for &s in &remote {
+                rt.inject(0.0, s, ServeMsg::AdTick, "ad");
+            }
         }
         for &(t, node) in &h.advertise_at {
-            sim.inject(t, node, node, ServeMsg::AdTick, "ad");
+            rt.inject(t, node, ServeMsg::AdTick, "ad");
         }
         if h.failover {
             // Boot the standby probe chains (the tick itself is a local
             // control event, subtracted from the message totals).
             for spec in &tree.brokers {
                 if let Some(sb) = spec.standby {
-                    sim.inject(0.0, sb, sb, ServeMsg::BrokerLeaseTick, "boot");
+                    rt.inject(0.0, sb, ServeMsg::BrokerLeaseTick, "boot");
                 }
             }
         }
@@ -2420,46 +2582,41 @@ pub fn run_qt_serve_with_faults(
     // Broker crash windows become handler-level control injections, so the
     // sim and the thread runtime run the exact same promotion protocol.
     for w in &broker_crashes {
-        sim.inject(w.from, w.node, w.node, ServeMsg::Crash, "fault");
+        rt.inject(w.from, w.node, ServeMsg::Crash, "fault");
         if w.until.is_finite() {
-            sim.inject(w.until, w.node, w.node, ServeMsg::Restart, "fault");
+            rt.inject(w.until, w.node, ServeMsg::Restart, "fault");
         }
     }
     for (i, &at) in arrive_times.iter().enumerate() {
-        sim.inject(
-            at,
-            buyer_node,
-            buyer_node,
-            ServeMsg::Arrive {
-                session: SessionId(i as u64),
-            },
-            "arrive",
-        );
+        let session = SessionId(i as u64);
+        rt.inject(at, buyer_node, ServeMsg::Arrive { session }, "arrive");
     }
-    sim.run(100_000_000);
+    let (mut metrics, handlers) = rt.run_to_end(buyer_node, n);
 
-    let metrics = sim.metrics.clone();
     let mut seller_effort = 0u64;
     let mut cache_hits = 0u64;
     let mut cache_misses = 0u64;
-    for node in &all_remote {
-        if let Some(ServeNode::Seller(e)) = sim.handler(*node) {
-            seller_effort += e.total_effort;
-            cache_hits += e.cache_hits;
-            cache_misses += e.cache_misses;
-        }
-    }
+    let mut manager = None;
     let mut promotions = 0u64;
     let mut promoted_regions: Vec<(NodeId, NodeId, f64)> = Vec::new();
-    for spec in &tree.brokers {
-        if let Some(sb) = spec.standby {
-            if let Some(ServeNode::Broker(b)) = sim.handler(sb) {
+    for (node, handler) in handlers {
+        match handler {
+            ServeNode::Seller(e) => {
+                seller_effort += e.total_effort;
+                cache_hits += e.cache_hits;
+                cache_misses += e.cache_misses;
+            }
+            ServeNode::Buyer(m) => manager = Some(m),
+            // Brokers hold routing state only; the buyer's shed counter is
+            // the authoritative one. Promotion bookkeeping lives on the
+            // standbys, though.
+            ServeNode::Broker(b) => {
                 if b.promotions > 0 {
                     promotions += b.promotions;
                     promoted_regions.push((
                         b.promoted_from
                             .expect("promoted standby records its primary"),
-                        sb,
+                        node,
                         b.promoted_at.unwrap_or(0.0),
                     ));
                 }
@@ -2467,105 +2624,7 @@ pub fn run_qt_serve_with_faults(
         }
     }
     promoted_regions.sort_by_key(|a| (a.0, a.1));
-    let Some(ServeNode::Buyer(m)) = sim.handler_mut(buyer_node) else {
-        panic!("buyer node is not a session manager");
-    };
-    finish_serve_outcome(
-        m,
-        n,
-        seller_effort,
-        cache_hits,
-        cache_misses,
-        cache_hits_before,
-        cache_misses_before,
-        metrics,
-        promotions,
-        promoted_regions,
-    )
-}
-
-/// Apply the calibration snapshot (see [`crate::calib`]): when
-/// `serve.calibration_path` holds a loadable snapshot, every engine —
-/// buyer-side config and all sellers — re-prices with the fitted params
-/// before the first RFB. Missing or unreadable snapshots keep the
-/// configured params.
-fn calibrated_config(
-    config: &QtConfig,
-    serve: &ServeConfig,
-    sellers: &mut BTreeMap<NodeId, SellerEngine>,
-) -> QtConfig {
-    let mut config = config.clone();
-    if let Some(path) = &serve.calibration_path {
-        if let Some(params) = crate::calib::load_cost_params(path) {
-            for e in sellers.values_mut() {
-                e.set_cost_params(params.clone());
-            }
-            config.cost_params = params;
-        }
-    }
-    config
-}
-
-/// Build the broker tree of a hierarchy run and point every remote seller
-/// at its broker (or straight at the buyer when the federation fits the
-/// fanout). Returns `(tree, buyer children, RFB deadline scale)`; flat
-/// serving gets an empty tree, every remote seller as a child, scale 1.
-fn build_hierarchy(
-    buyer_node: NodeId,
-    remote: &[NodeId],
-    serve: &ServeConfig,
-    sellers: &mut BTreeMap<NodeId, SellerEngine>,
-) -> (crate::discovery::BrokerTree, Vec<NodeId>, f64) {
-    let Some(h) = serve.hierarchy.as_ref() else {
-        return (
-            crate::discovery::BrokerTree::default(),
-            remote.to_vec(),
-            1.0,
-        );
-    };
-    let first_broker = remote
-        .iter()
-        .map(|n| n.0)
-        .chain([buyer_node.0])
-        .max()
-        .unwrap_or(0)
-        + 1;
-    let mut tree = crate::discovery::BrokerTree::build(remote, h.fanout, first_broker);
-    tree.set_root(buyer_node);
-    if h.failover && !tree.brokers.is_empty() {
-        let first_standby = tree.brokers.iter().map(|b| b.node.0).max().unwrap_or(0) + 1;
-        tree.assign_standbys(first_standby);
-    }
-    let parents = tree.seller_parents();
-    for (n, e) in sellers.iter_mut() {
-        let parent = parents.get(n).copied().unwrap_or(buyer_node);
-        e.advertise_to = Some(parent);
-        // With failover on, the region's standby mirrors the seller ads so a
-        // promoted replica knows the digest without a discovery round-trip.
-        e.advertise_cc = tree.standby_of(parent);
-        e.readvertise_interval = h.readvertise_interval;
-    }
-    let children = tree.root_children.clone();
-    let scale = tree.depth as f64;
-    (tree, children, scale)
-}
-
-/// Shared post-processing for the simulator and real-transport serving
-/// drivers: fold the manager's state and seller counters into a
-/// [`ServeOutcome`], patching the driver-filled fields of `metrics`.
-#[allow(clippy::too_many_arguments)]
-fn finish_serve_outcome(
-    m: &mut SessionManager,
-    n: usize,
-    mut seller_effort: u64,
-    mut cache_hits: u64,
-    mut cache_misses: u64,
-    cache_hits_before: u64,
-    cache_misses_before: u64,
-    mut metrics: qt_net::Metrics,
-    promotions: u64,
-    promoted_regions: Vec<(NodeId, NodeId, f64)>,
-) -> ServeOutcome {
+    let mut m = manager.expect("session manager returned");
     assert_eq!(m.completed.len(), n, "run drained with sessions unfinished");
     assert!(
         m.lifecycles.is_empty(),
@@ -2647,207 +2706,70 @@ fn finish_serve_outcome(
     }
 }
 
-/// [`run_qt_serve`] on the real thread-per-node transport (`qt_net::real`):
-/// the session manager and every seller run on their own OS thread,
-/// connected by bounded channels or loopback TCP per `real`. The handlers
-/// are the exact ones the simulator runs, so per-session plans are
-/// bit-identical to [`run_qt_serve`] under the same configuration. Latency
-/// and makespan figures are **wall clock** — never compare them against the
-/// simulator's virtual-time numbers.
-pub fn run_qt_serve_real(
-    buyer_node: NodeId,
-    dict: Arc<SchemaDict>,
-    arrivals: Vec<(f64, Query)>,
-    sellers: BTreeMap<NodeId, SellerEngine>,
+/// Apply the calibration snapshot (see [`crate::calib`]): when
+/// `serve.calibration_path` holds a loadable snapshot, every engine —
+/// buyer-side config and all sellers — re-prices with the fitted params
+/// before the first RFB. Missing or unreadable snapshots keep the
+/// configured params.
+fn calibrated_config(
     config: &QtConfig,
     serve: &ServeConfig,
-    real: qt_net::RealConfig,
-) -> ServeOutcome {
-    run_qt_serve_real_with_faults(
-        buyer_node, dict, arrivals, sellers, config, serve, real, None,
-    )
+    sellers: &mut BTreeMap<NodeId, SellerEngine>,
+) -> QtConfig {
+    let mut config = config.clone();
+    if let Some(path) = &serve.calibration_path {
+        if let Some(params) = crate::calib::load_cost_params(path) {
+            for e in sellers.values_mut() {
+                e.set_cost_params(params.clone());
+            }
+            config.cost_params = params;
+        }
+    }
+    config
 }
 
-/// [`run_qt_serve_real`] under a [`FaultPlan`]'s *broker crash windows*. The
-/// thread runtime has no transport fault plane — drop/jitter/partition
-/// entries are ignored — but broker crashes are handler-level control
-/// injections, so the promotion protocol runs identically to
-/// [`run_qt_serve_with_faults`] and promotion outcomes are comparable
-/// across transports. Crash times are virtual: the injector delivers them
-/// at `time * time_scale` wall seconds, like every other injection.
-#[allow(clippy::too_many_arguments)]
-pub fn run_qt_serve_real_with_faults(
+/// Build the broker tree of a hierarchy run and point every remote seller
+/// at its broker (or straight at the buyer when the federation fits the
+/// fanout). Returns `(tree, buyer children, RFB deadline scale)`; flat
+/// serving gets an empty tree, every remote seller as a child, scale 1.
+fn build_hierarchy(
     buyer_node: NodeId,
-    dict: Arc<SchemaDict>,
-    arrivals: Vec<(f64, Query)>,
-    mut sellers: BTreeMap<NodeId, SellerEngine>,
-    config: &QtConfig,
+    remote: &[NodeId],
     serve: &ServeConfig,
-    real: qt_net::RealConfig,
-    faults: Option<FaultPlan>,
-) -> ServeOutcome {
-    assert!(serve.concurrency >= 1, "concurrency must be at least 1");
-    let n = arrivals.len();
-    let broker_crashes: Vec<qt_net::CrashWindow> = faults
-        .as_ref()
-        .map(|p| p.broker_crashes.clone())
-        .unwrap_or_default();
-    let config = &calibrated_config(config, serve, &mut sellers);
-    let cache_hits_before: u64 = sellers.values().map(|s| s.cache_hits).sum();
-    let cache_misses_before: u64 = sellers.values().map(|s| s.cache_misses).sum();
-    let local_seller = sellers.remove(&buyer_node);
-    let remote: Vec<NodeId> = sellers.keys().copied().collect();
-    let (tree, children, timeout_scale) = build_hierarchy(buyer_node, &remote, serve, &mut sellers);
-    let buyer_desc: BTreeMap<NodeId, Vec<NodeId>> = children
-        .iter()
-        .map(|&c| (c, tree.seller_descendants(c)))
-        .collect();
-    let mut arrive_times = Vec::with_capacity(n);
-    let mut queries = Vec::with_capacity(n);
-    for (at, q) in arrivals {
-        arrive_times.push(at);
-        queries.push(Some(q));
-    }
-    let manager = SessionManager {
-        node: buyer_node,
-        dict,
-        config: config.clone(),
-        serve: serve.clone(),
-        remote_sellers: remote.clone(),
-        children,
-        child_ads: BTreeMap::new(),
-        timeout_scale,
-        local_seller,
-        queries,
-        arrive_times: arrive_times.clone(),
-        sessions: BTreeMap::new(),
-        waiting: VecDeque::new(),
-        stage: BTreeMap::new(),
-        flush_pending: false,
-        completed: Vec::new(),
-        retries: 0,
-        timeouts_fired: 0,
-        degraded_rounds: 0,
-        unreachable: BTreeSet::new(),
-        lifecycles: BTreeMap::new(),
-        contract_stats: ContractStats::default(),
-        result_cache_hits: 0,
-        result_cache_misses: 0,
-        shed_sessions: 0,
-        shed_retries: 0,
-        promoted: BTreeMap::new(),
-        region_alias: BTreeMap::new(),
-        desc: buyer_desc,
-        flat_retry: BTreeSet::new(),
-        shed_retried: BTreeSet::new(),
-        region_fallbacks: 0,
-        quiesce_sent: false,
-    };
-    let mut rt: qt_net::RealRuntime<ServeMsg, ServeNode> = qt_net::RealRuntime::new(real);
-    rt.add_node(buyer_node, ServeNode::Buyer(Box::new(manager)));
-    for (node, engine) in sellers {
-        rt.add_node(node, ServeNode::Seller(Box::new(engine)));
-    }
-    for spec in &tree.brokers {
-        let desc: BTreeMap<NodeId, Vec<NodeId>> = spec
-            .children
-            .iter()
-            .map(|&c| (c, tree.seller_descendants(c)))
-            .collect();
-        let hier = serve.hierarchy.clone().expect("brokers imply hierarchy");
-        let mut primary = BrokerNode::new(spec, desc.clone(), config.clone(), hier.clone());
-        primary.set_parent_standby(tree.standby_of(spec.parent));
-        rt.add_node(spec.node, ServeNode::Broker(Box::new(primary)));
-        if let Some(sb) = spec.standby {
-            let mut standby = BrokerNode::new_standby(spec, desc, config.clone(), hier);
-            standby.set_parent_standby(tree.standby_of(spec.parent));
-            rt.add_node(sb, ServeNode::Broker(Box::new(standby)));
-        }
-    }
-    if let Some(h) = serve.hierarchy.as_ref() {
-        for &s in &remote {
-            rt.inject(0.0, s, s, ServeMsg::AdTick, "ad");
-        }
-        for &(t, node) in &h.advertise_at {
-            rt.inject(t, node, node, ServeMsg::AdTick, "ad");
-        }
-        if h.failover {
-            for spec in &tree.brokers {
-                if let Some(sb) = spec.standby {
-                    rt.inject(0.0, sb, sb, ServeMsg::BrokerLeaseTick, "boot");
-                }
-            }
-        }
-    }
-    for w in &broker_crashes {
-        rt.inject(w.from, w.node, w.node, ServeMsg::Crash, "fault");
-        if w.until.is_finite() {
-            rt.inject(w.until, w.node, w.node, ServeMsg::Restart, "fault");
-        }
-    }
-    for (i, &at) in arrive_times.iter().enumerate() {
-        rt.inject(
-            at,
-            buyer_node,
-            buyer_node,
-            ServeMsg::Arrive {
-                session: SessionId(i as u64),
-            },
-            "arrive",
+    sellers: &mut BTreeMap<NodeId, SellerEngine>,
+) -> (crate::discovery::BrokerTree, Vec<NodeId>, f64) {
+    let Some(h) = serve.hierarchy.as_ref() else {
+        return (
+            crate::discovery::BrokerTree::default(),
+            remote.to_vec(),
+            1.0,
         );
+    };
+    let first_broker = remote
+        .iter()
+        .map(|n| n.0)
+        .chain([buyer_node.0])
+        .max()
+        .unwrap_or(0)
+        + 1;
+    let mut tree = crate::discovery::BrokerTree::build(remote, h.fanout, first_broker);
+    tree.set_root(buyer_node);
+    if h.failover && !tree.brokers.is_empty() {
+        let first_standby = tree.brokers.iter().map(|b| b.node.0).max().unwrap_or(0) + 1;
+        tree.assign_standbys(first_standby);
     }
-    // Serving is over when every session completed and (with the lifecycle
-    // on) every contract settled; channel FIFO guarantees trailing awards
-    // and releases are delivered before the shutdown marker.
-    let out = rt.run(
-        buyer_node,
-        |h| matches!(h, ServeNode::Buyer(m) if m.completed.len() == n && m.lifecycles.is_empty()),
-    );
-    let metrics = out.metrics;
-    let mut seller_effort = 0u64;
-    let mut cache_hits = 0u64;
-    let mut cache_misses = 0u64;
-    let mut manager_back = None;
-    let mut promotions = 0u64;
-    let mut promoted_regions: Vec<(NodeId, NodeId, f64)> = Vec::new();
-    for (node, handler) in out.handlers {
-        match handler {
-            ServeNode::Seller(e) => {
-                seller_effort += e.total_effort;
-                cache_hits += e.cache_hits;
-                cache_misses += e.cache_misses;
-            }
-            ServeNode::Buyer(m) => manager_back = Some(m),
-            // Brokers hold routing state only; the buyer's shed counter is
-            // the authoritative one. Promotion bookkeeping lives on the
-            // standbys, though.
-            ServeNode::Broker(b) => {
-                if b.promotions > 0 {
-                    promotions += b.promotions;
-                    promoted_regions.push((
-                        b.promoted_from
-                            .expect("promoted standby records its primary"),
-                        node,
-                        b.promoted_at.unwrap_or(0.0),
-                    ));
-                }
-            }
-        }
+    let parents = tree.seller_parents();
+    for (n, e) in sellers.iter_mut() {
+        let parent = parents.get(n).copied().unwrap_or(buyer_node);
+        e.advertise_to = Some(parent);
+        // With failover on, the region's standby mirrors the seller ads so a
+        // promoted replica knows the digest without a discovery round-trip.
+        e.advertise_cc = tree.standby_of(parent);
+        e.readvertise_interval = h.readvertise_interval;
     }
-    promoted_regions.sort_by_key(|a| (a.0, a.1));
-    let mut m = manager_back.expect("session manager returned");
-    finish_serve_outcome(
-        &mut m,
-        n,
-        seller_effort,
-        cache_hits,
-        cache_misses,
-        cache_hits_before,
-        cache_misses_before,
-        metrics,
-        promotions,
-        promoted_regions,
-    )
+    let children = tree.root_children.clone();
+    let scale = tree.depth as f64;
+    (tree, children, scale)
 }
 
 #[cfg(test)]

@@ -161,6 +161,16 @@ impl<M, H: Handler<M>> Simulator<M, H> {
             .and_then(|h| h.as_mut())
     }
 
+    /// Consume the simulator and hand back every registered handler, in
+    /// ascending node id (to move results out after the run).
+    pub fn into_handlers(self) -> Vec<(NodeId, H)> {
+        self.handlers
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, h)| h.map(|h| (NodeId(i as u32), h)))
+            .collect()
+    }
+
     /// Inject an external message to `to` at absolute virtual time `at`
     /// (e.g. the user's query arriving at the buyer).
     pub fn inject(&mut self, at: f64, from: NodeId, to: NodeId, msg: M, kind: &'static str) {
